@@ -122,8 +122,23 @@ class BPlusTree:
             self._height += 1
 
     def update(self, key: int, value: Any) -> None:
-        """Alias of :meth:`insert` emphasising overwrite semantics."""
-        self.insert(key, value)
+        """Overwrite the value of a present ``key`` in place.
+
+        One root-to-leaf descent, then the leaf is written back: the
+        same get/put sequence :meth:`insert` makes for a present key.
+        Raises :class:`KeyError` if ``key`` is absent.
+        """
+        get = self.buffer.get
+        page = get(self._root_id)
+        node: _Node = page.payload
+        while not node.is_leaf:
+            page = get(node.children[bisect.bisect_right(node.keys, key)])
+            node = page.payload
+        idx = bisect.bisect_left(node.keys, key)
+        if idx == len(node.keys) or node.keys[idx] != key:
+            raise KeyError(key)
+        node.values[idx] = value
+        self.buffer.put(page)
 
     def delete(self, key: int) -> bool:
         """Remove ``key``; returns True if it was present."""
@@ -189,10 +204,10 @@ class BPlusTree:
         return page.page_id
 
     def _find_leaf(self, key: int) -> _Node:
-        node: _Node = self.buffer.get(self._root_id).payload
+        get = self.buffer.get
+        node: _Node = get(self._root_id).payload
         while not node.is_leaf:
-            idx = bisect.bisect_right(node.keys, key)
-            node = self.buffer.get(node.children[idx]).payload
+            node = get(node.children[bisect.bisect_right(node.keys, key)]).payload
         return node
 
     def _path_to_leaf(self, key: int) -> List[int]:

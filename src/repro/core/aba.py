@@ -49,7 +49,8 @@ class ABA(TopKAlgorithm):
         removed: Set[int] = set()
         universe: List[int] = list(ctx.tree.object_ids())
         # lines 11-14 of Algorithm 2 score each candidate against the
-        # whole data set; evaluated vectorized (semantics unchanged).
+        # whole data set; a round's candidates are evaluated in one
+        # vectorized pass (semantics unchanged).
         matrix: DominanceMatrix | None = None
 
         for _round in range(min(k, len(universe))):
@@ -108,8 +109,9 @@ class ABA(TopKAlgorithm):
                     else None
                 )
                 with trace.span("aba.score", category="algo"):
-                    for object_id in sorted(candidates):
-                        score = matrix.score(object_id)
+                    ordered = sorted(candidates)
+                    scores = matrix.score(ordered).tolist()
+                    for object_id, score in zip(ordered, scores):
                         ctx.stats.exact_score_computations += 1
                         if score > best_score:
                             best_score = score

@@ -15,7 +15,7 @@ the ``AuxB+``-tree.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, overload
 
 import numpy as np
 
@@ -203,10 +203,18 @@ class DominanceMatrix:
     reports (distance computations happen in the
     :class:`DistanceVectorSource` exactly as before).
 
+    The universe is stored column-major (one row of ``n`` distances per
+    query object), so a whole round's candidates are scored in one
+    pass: ``m`` column comparisons build a candidates x ``n`` mask,
+    in blocks of at most ``_BLOCK_CELLS`` cells to bound memory.
+
     Rows for removed objects can be masked out; scores over the masked
     universe equal scores over the full one for the paper's algorithms
     (reported objects are never dominated, see DESIGN.md).
     """
+
+    #: mask cells per scoring block (bool, so bytes per temporary).
+    _BLOCK_CELLS = 1 << 20
 
     def __init__(
         self,
@@ -216,25 +224,57 @@ class DominanceMatrix:
         self.source = source
         self.ids = list(universe)
         self._row_of = {obj: i for i, obj in enumerate(self.ids)}
-        self._matrix = np.asarray(
+        rows = np.array(
             [source.vector(obj) for obj in self.ids], dtype=float
-        )
+        ).reshape(len(self.ids), source.m)
+        self._cols = np.ascontiguousarray(rows.T)
         self._active = np.ones(len(self.ids), dtype=bool)
 
     def deactivate(self, object_id: int) -> None:
         """Mask an object out of the universe (after it is reported)."""
         self._active[self._row_of[object_id]] = False
 
-    def score(self, object_id: int) -> int:
-        """``dom(object_id)`` over the active universe."""
-        vec = np.asarray(self.source.vector(object_id), dtype=float)
-        le = (vec <= self._matrix).all(axis=1)
-        lt = (vec < self._matrix).any(axis=1)
-        dominated = le & lt & self._active
-        row = self._row_of.get(object_id)
-        if row is not None:
-            dominated[row] = False
-        return int(dominated.sum())
+    @overload
+    def score(self, object_ids: int) -> int: ...
+
+    @overload
+    def score(self, object_ids: Sequence[int]) -> np.ndarray: ...
+
+    def score(self, object_ids):
+        """``dom(p)`` over the active universe.
+
+        Given one id, returns its score; given a sequence of ids,
+        returns their scores as an integer array in the same order.
+        Vectors are fetched from the source in that order.  Ids outside
+        the universe are scored against it like any other.
+        """
+        if isinstance(object_ids, (int, np.integer)):
+            return int(self.score([object_ids])[0])
+        ids = list(object_ids)
+        scores = np.zeros(len(ids), dtype=np.int64)
+        vectors = np.array(
+            [self.source.vector(obj) for obj in ids], dtype=float
+        ).reshape(len(ids), self.source.m)
+        cols = self._cols
+        m, n = cols.shape
+        if m == 0 or n == 0 or not ids:
+            return scores
+        own = np.array([self._row_of.get(obj, -1) for obj in ids])
+        step = max(1, self._BLOCK_CELLS // n)
+        for lo in range(0, len(ids), step):
+            block = vectors[lo:lo + step].T[:, :, None]
+            le = block[0] <= cols[0]
+            lt = block[0] < cols[0]
+            for j in range(1, m):
+                le &= block[j] <= cols[j]
+                lt |= block[j] < cols[j]
+            le &= lt
+            le &= self._active
+            rows = own[lo:lo + step]
+            inside = np.flatnonzero(rows >= 0)
+            le[inside, rows[inside]] = False
+            scores[lo:lo + step] = np.count_nonzero(le, axis=1)
+        return scores
 
 
 # ----------------------------------------------------------------------

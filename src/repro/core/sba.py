@@ -48,8 +48,9 @@ class SBA(TopKAlgorithm):
         removed: Set[int] = set()
         universe: List[int] = list(ctx.tree.object_ids())
         # lines 6-9 of Algorithm 1 score each skyline object against
-        # the whole data set; the matrix evaluates those comparisons
-        # vectorized (semantics unchanged, see DominanceMatrix).
+        # the whole data set; the matrix evaluates a round's comparisons
+        # in one vectorized pass (semantics unchanged, see
+        # DominanceMatrix).
         matrix: DominanceMatrix | None = None
 
         for _round in range(min(k, len(universe))):
@@ -90,8 +91,8 @@ class SBA(TopKAlgorithm):
                     else None
                 )
                 with trace.span("sba.score", category="algo"):
-                    for object_id in skyline:
-                        score = matrix.score(object_id)
+                    scores = matrix.score(skyline).tolist()
+                    for object_id, score in zip(skyline, scores):
                         ctx.stats.exact_score_computations += 1
                         if score > best_score or (
                             score == best_score and object_id < best_id

@@ -37,7 +37,9 @@ class LRUBuffer:
     Single-threaded by default.  The recency list is an ``OrderedDict``
     mutated on *every* access (hits ``move_to_end``, misses evict), so
     concurrent readers corrupt it; the serving layer calls
-    :meth:`make_thread_safe` to serialize page operations.
+    :meth:`make_thread_safe` to serialize page operations.  Until then
+    :meth:`get`, :meth:`put` and :meth:`new_page` take a lock-free path
+    that charges ``stats`` directly; both paths count identically.
 
     Thread-safe mode also mirrors every accounting increment into a
     **per-thread** :class:`IOStats`: a query runs entirely on one
@@ -86,10 +88,8 @@ class LRUBuffer:
             stats = self._local.stats = IOStats()
         return stats
 
-    def _sinks(self) -> "tuple[IOStats, ...]":
-        """The stats objects the current access must be charged to."""
-        if self._local is None:
-            return (self.stats,)
+    def _sinks(self) -> "tuple[IOStats, IOStats]":
+        """The stats objects a thread-safe access is charged to."""
         return (self.stats, self.local_stats())
 
     # ------------------------------------------------------------------
@@ -97,6 +97,19 @@ class LRUBuffer:
     # ------------------------------------------------------------------
     def get(self, page_id: int) -> Page:
         """Read a page through the buffer (logical read)."""
+        if self._local is None:
+            # single-threaded: charge ``stats`` directly, no lock.
+            stats = self.stats
+            stats.logical_reads += 1
+            page = self._frames.get(page_id)
+            if page is not None:
+                self._frames.move_to_end(page_id)
+                stats.buffer_hits += 1
+                return page
+            page = self._physical_read(page_id)
+            stats.page_faults += 1
+            self._admit(page)
+            return page
         with self._lock:
             sinks = self._sinks()
             for stats in sinks:
@@ -142,6 +155,18 @@ class LRUBuffer:
         fault accounting — the paper charges faults, not write-backs)
         when evicted or when :meth:`flush` is called.
         """
+        if self._local is None:
+            stats = self.stats
+            stats.logical_writes += 1
+            page.dirty = True
+            if page.page_id in self._frames:
+                self._frames.move_to_end(page.page_id)
+                self._frames[page.page_id] = page
+                stats.buffer_hits += 1
+                return
+            stats.page_faults += 1
+            self._admit(page)
+            return
         with self._lock:
             sinks = self._sinks()
             for stats in sinks:
@@ -164,6 +189,13 @@ class LRUBuffer:
         as a (write) hit, keeping the identity ``logical_accesses ==
         buffer_hits + page_faults`` exact.
         """
+        if self._local is None:
+            page = self.manager.allocate_page(payload)
+            page.dirty = True
+            self.stats.logical_writes += 1
+            self.stats.buffer_hits += 1
+            self._admit(page)
+            return page
         with self._lock:
             page = self.manager.allocate_page(payload)
             page.dirty = True

@@ -169,3 +169,56 @@ class TestDiskBehaviour:
         for key in range(500):
             big.insert(key, key)
         assert big.num_pages > small.num_pages
+
+
+class TestUpdate:
+    @staticmethod
+    def populated():
+        tree, buf = make_tree(order=4, capacity=3)
+        keys = list(range(0, 300, 3))
+        random.Random(5).shuffle(keys)
+        for key in keys:
+            tree.insert(key, key)
+        tree.get(42)
+        return tree, buf
+
+    @staticmethod
+    def io_delta(buf, before):
+        after = buf.stats
+        return (
+            after.logical_reads - before.logical_reads,
+            after.logical_writes - before.logical_writes,
+            after.page_faults - before.page_faults,
+            after.buffer_hits - before.buffer_hits,
+        )
+
+    @pytest.mark.parametrize("key", [0, 3, 150, 297])
+    def test_present_key_matches_insert_io_and_recency(self, key):
+        via_insert, insert_buf = self.populated()
+        via_update, update_buf = self.populated()
+        before_insert = insert_buf.stats.snapshot()
+        before_update = update_buf.stats.snapshot()
+        via_insert.insert(key, "new")
+        via_update.update(key, "new")
+        delta = self.io_delta(update_buf, before_update)
+        assert delta == self.io_delta(insert_buf, before_insert)
+        assert delta[1] == 1  # one leaf write
+        assert list(update_buf._frames) == list(insert_buf._frames)
+        assert via_update.get(key) == "new"
+        assert len(via_update) == len(via_insert)
+        via_update.check_invariants()
+
+    def test_absent_key_raises(self):
+        tree, _ = self.populated()
+        size = len(tree)
+        with pytest.raises(KeyError):
+            tree.update(1, "x")
+        assert len(tree) == size
+        assert tree.get(1) is None
+        tree.check_invariants()
+
+    def test_absent_key_on_empty_tree_raises(self):
+        tree, _ = make_tree()
+        with pytest.raises(KeyError):
+            tree.update(7, "x")
+        assert len(tree) == 0

@@ -1,12 +1,14 @@
 """Dominance relation, scores and the vectorized matrix."""
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from repro.core.dominance import (
     DistanceVectorSource,
     DominanceMatrix,
+    DominatorSet,
     dominates,
     dominates_vectors,
     domination_score,
@@ -158,6 +160,147 @@ class TestDominanceMatrix:
             if dominates_vectors(source.vector(45), source.vector(other))
         )
         assert score == manual
+
+
+def _source_of(vectors, m):
+    """A source whose vectors are installed, never computed."""
+    source = DistanceVectorSource(None, list(range(m)))
+    for object_id, vector in enumerate(vectors):
+        source.put(object_id, tuple(float(d) for d in vector))
+    return source
+
+
+class TestBatchedScore:
+    @pytest.fixture
+    def setup(self):
+        space = make_vector_space(n=60, dims=2, seed=1, grid=4)
+        source = DistanceVectorSource(space, [0, 30])
+        matrix = DominanceMatrix(source, list(space.object_ids))
+        return space, source, matrix
+
+    def test_batch_equals_one_by_one_in_order(self, setup):
+        _space, _source, matrix = setup
+        ids = [17, 3, 44, 3, 0]
+        assert matrix.score(ids).tolist() == [matrix.score(i) for i in ids]
+
+    def test_empty_id_list(self, setup):
+        space, _source, matrix = setup
+        before = space.metric.snapshot()
+        scores = matrix.score([])
+        assert scores.shape == (0,)
+        assert space.metric.delta_since(before) == 0
+
+    def test_empty_universe(self, setup):
+        _space, source, _matrix = setup
+        empty = DominanceMatrix(source, [])
+        assert empty.score([1, 2, 3]).tolist() == [0, 0, 0]
+        assert empty.score(5) == 0
+
+    def test_ids_outside_universe(self, setup):
+        _space, source, _matrix = setup
+        partial = DominanceMatrix(source, list(range(30)))
+        ids = [45, 2, 59, 29]
+        expected = [source.domination_score(i, range(30)) for i in ids]
+        assert partial.score(ids).tolist() == expected
+
+    def test_deactivated_rows_are_excluded(self, setup):
+        space, source, matrix = setup
+        gone = [5, 11, 23, 40]
+        for object_id in gone:
+            matrix.deactivate(object_id)
+        active = [i for i in space.object_ids if i not in gone]
+        ids = list(range(60))
+        expected = [source.domination_score(i, active) for i in ids]
+        assert matrix.score(ids).tolist() == expected
+
+    def test_blocks_do_not_change_scores(self, setup, monkeypatch):
+        _space, _source, matrix = setup
+        ids = list(range(60))
+        whole = matrix.score(ids).tolist()
+        # 7 candidate rows per block over a 60-object universe
+        monkeypatch.setattr(DominanceMatrix, "_BLOCK_CELLS", 7 * 60)
+        assert matrix.score(ids).tolist() == whole
+
+    def test_vectors_fetched_in_id_order(self, setup):
+        space, _source, _matrix = setup
+        fresh = DistanceVectorSource(space, [0, 30])
+        matrix = DominanceMatrix(fresh, [])
+        seen = []
+        original = fresh.vector
+
+        def spy(object_id):
+            seen.append(object_id)
+            return original(object_id)
+
+        fresh.vector = spy
+        matrix.score([9, 4, 7])
+        assert seen == [9, 4, 7]
+
+
+_tie_vectors = st.integers(min_value=1, max_value=4).flatmap(
+    lambda m: st.lists(
+        st.tuples(*[st.integers(min_value=0, max_value=3)] * m),
+        min_size=1,
+        max_size=40,
+    )
+)
+
+
+class TestDominanceProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(vectors=_tie_vectors, data=st.data())
+    def test_batched_scores_equal_scalar_over_active(self, vectors, data):
+        m = len(vectors[0])
+        source = _source_of(vectors, m)
+        ids = list(range(len(vectors)))
+        matrix = DominanceMatrix(source, ids)
+        gone = data.draw(st.sets(st.sampled_from(ids)))
+        for object_id in gone:
+            matrix.deactivate(object_id)
+        active = [i for i in ids if i not in gone]
+        expected = [source.domination_score(i, active) for i in ids]
+        assert matrix.score(ids).tolist() == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        stored=st.lists(
+            st.tuples(*[st.integers(min_value=0, max_value=3)] * 3),
+            min_size=DominatorSet._VECTORIZE_FROM - 2,
+            max_size=2 * DominatorSet._VECTORIZE_FROM,
+        ),
+        probes=st.lists(
+            st.tuples(*[st.integers(min_value=0, max_value=3)] * 3),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    def test_dominator_set_equals_scalar_scan(self, stored, probes):
+        # every example crosses _VECTORIZE_FROM; duplicates are kept
+        stored = stored + stored[:4]
+        dominators = DominatorSet(3)
+        for count, vector in enumerate(stored, start=1):
+            dominators.add(vector)
+            checks = probes if count < len(stored) else probes + stored
+            for probe in checks:
+                expected = any(
+                    dominates_vectors(row, probe) for row in stored[:count]
+                )
+                assert dominators.dominates(probe) == expected
+
+    def test_dominator_set_on_both_sides_of_threshold(self):
+        rng = np.random.default_rng(4)
+        threshold = DominatorSet._VECTORIZE_FROM
+        rows = [tuple(r) for r in rng.integers(0, 3, (threshold + 8, 3))]
+        rows += rows[:5]  # exact duplicates
+        dominators = DominatorSet(3)
+        probes = [tuple(p) for p in rng.integers(0, 4, (50, 3))]
+        for count, row in enumerate(rows, start=1):
+            dominators.add(row)
+            if count in (threshold - 1, threshold, threshold + 1, len(rows)):
+                for probe in probes + rows:
+                    assert dominators.dominates(probe) == any(
+                        dominates_vectors(r, probe) for r in rows[:count]
+                    )
 
 
 class TestFreeFunctions:

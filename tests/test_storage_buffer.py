@@ -1,5 +1,7 @@
 """Unit tests for the LRU buffer pools."""
 
+import random
+
 import pytest
 
 from repro.storage.buffer import BufferPool, LRUBuffer
@@ -209,3 +211,66 @@ class TestThreadLocalAttribution:
         local = pool.local_io()
         assert local.page_faults == 2
         assert local.logical_reads == 2
+
+
+def _script(seed, steps=400):
+    """A seeded mix of page operations over a small page set."""
+    rng = random.Random(seed)
+    ops = [("new_page", None) for _ in range(4)]
+    for _ in range(steps):
+        kind = rng.choices(
+            ["get", "put", "new_page", "invalidate", "resize"],
+            weights=[50, 25, 8, 10, 7],
+        )[0]
+        if kind == "resize":
+            ops.append((kind, rng.choice([0, 1, 2, 3, 5])))
+        elif kind == "new_page":
+            ops.append((kind, None))
+        else:
+            ops.append((kind, rng.random()))
+    return ops
+
+
+def _replay(buf, ops):
+    """Run ``ops``; returns the per-step faults and final frame order."""
+    pages = {}
+    faults = []
+    for kind, arg in ops:
+        if kind == "new_page":
+            page = buf.new_page(payload=len(pages))
+            pages[page.page_id] = page
+        elif kind == "resize":
+            buf.resize(arg)
+        else:
+            page_id = sorted(pages)[int(arg * len(pages))]
+            if kind == "get":
+                pages[page_id] = buf.get(page_id)
+            elif kind == "put":
+                buf.put(pages[page_id])
+            else:
+                buf.invalidate(page_id)
+        faults.append(buf.stats.page_faults)
+    return faults, list(buf._frames)
+
+
+class TestBufferModeEquivalence:
+    """The lock-free single-threaded path counts like the locked one."""
+
+    @pytest.mark.parametrize("capacity", [0, 1, 3])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_plain_and_thread_safe_buffers_agree(self, seed, capacity):
+        ops = _script(seed)
+        plain_mgr, plain = make_buffer(capacity)
+        safe_mgr, safe = make_buffer(capacity)
+        safe.make_thread_safe()
+        plain_faults, plain_frames = _replay(plain, ops)
+        safe_faults, safe_frames = _replay(safe, ops)
+        assert plain_faults == safe_faults
+        assert plain_frames == safe_frames
+        assert plain.stats == safe.stats
+        assert plain.local_stats() == safe.local_stats() == safe.stats
+        assert plain.local_stats() is plain.stats
+        assert safe.local_stats() is not safe.stats
+        assert plain_mgr.stats == safe_mgr.stats
+        assert plain.stats.page_faults > 0
+        assert plain.stats.buffer_hits > 0

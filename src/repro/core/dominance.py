@@ -26,10 +26,16 @@ def dominates_vectors(
     a: Sequence[float],
     b: Sequence[float],
 ) -> bool:
-    """True iff distance vector ``a`` dominates ``b`` (Definition 3)."""
+    """True iff distance vector ``a`` dominates ``b`` (Definition 3).
+
+    ``<=`` on every coordinate and ``<`` on at least one, so a NaN
+    coordinate (comparing false both ways) never yields dominance —
+    the same answer as the vectorized tests in :class:`DominatorSet`
+    and :class:`DominanceMatrix`.
+    """
     strict = False
     for da, db in zip(a, b):
-        if da > db:
+        if not da <= db:
             return False
         if da < db:
             strict = True
@@ -67,11 +73,11 @@ class DistanceVectorSource:
     def vector(self, object_id: int) -> Tuple[float, ...]:
         """The (cached) distance vector of one object.
 
-        A cache miss evaluates the ``m`` coordinates per pair: the
-        batch width here is only ``m`` (2-8 in every paper workload),
-        too narrow to amortise the batched kernel's dispatch cost —
-        unlike the node scans, where batches are node-capacity wide.
-        Either path produces bit-identical distances and counts.
+        A cache miss evaluates the ``m`` coordinates per pair: one
+        object's batch is only ``m`` wide (2-8 in every paper
+        workload), too narrow to amortise the batched kernel's dispatch
+        cost.  Callers that need many vectors at once call
+        :meth:`fill` first.
         """
         vec = self._cache.get(object_id)
         if vec is None:
@@ -80,6 +86,27 @@ class DistanceVectorSource:
             )
             self._cache[object_id] = vec
         return vec
+
+    def fill(self, object_ids: Iterable[int]) -> None:
+        """Compute every missing vector among ``object_ids`` in one batch.
+
+        Through :meth:`MetricSpace.distance_rows`: one ``pairwise``
+        kernel call per query object when the raw metric has the batch
+        hook, else the per-pair loop in object-major id order with the
+        object first — the exact call sequence of :meth:`vector` on
+        each missing id in turn.  Cached and repeated ids cost nothing,
+        so distances, counts and the cache match per-id :meth:`vector`
+        calls bit for bit.
+        """
+        cache = self._cache
+        missing = list(
+            dict.fromkeys(obj for obj in object_ids if obj not in cache)
+        )
+        if not missing:
+            return
+        rows = self.space.distance_rows(missing, self.query_ids)
+        for obj, row in zip(missing, rows):
+            cache[obj] = tuple(row)
 
     def put(self, object_id: int, vector: Tuple[float, ...]) -> None:
         """Install a vector computed elsewhere (e.g. by a NN cursor)."""
@@ -124,15 +151,17 @@ class DominatorSet:
 
     PBA's discard heuristics and the skyline cursor repeatedly ask
     "does *any* already-collected vector dominate this one?" against a
-    set that only ever grows.  While the set is small the scan runs as
-    a plain Python loop (numpy's fixed per-call overhead dwarfs a
-    handful of tuple comparisons); past ``_VECTORIZE_FROM`` rows the
-    vectors are packed into a contiguous row matrix and the scan
-    becomes three numpy comparisons.  Both paths implement Definition 3
-    per row with identical semantics for real (non-NaN) distance
-    vectors — every vector that enters the set comes from an actual
-    metric, so NaNs cannot occur in practice; under NaNs neither path
-    reports dominance for the NaN coordinate's pair.
+    set that only ever grows.  Most answers are yes, and the row that
+    answered last usually answers the next one too (the skyline's
+    first point decides most of them), so :meth:`dominates` first
+    probes that row with the scalar predicate.  Otherwise, while the
+    set is small, the scan runs as a plain Python loop (numpy's fixed
+    per-call overhead dwarfs a handful of tuple comparisons); past
+    ``_VECTORIZE_FROM`` rows the vectors are packed into a contiguous
+    row matrix and the scan becomes three numpy comparisons.  Every
+    path implements Definition 3 per row (``<=`` everywhere, ``<``
+    somewhere), so a NaN coordinate never yields dominance on any of
+    them.
 
     Rows are stored in an amortised-doubling buffer so ``add`` is O(m).
     """
@@ -145,6 +174,8 @@ class DominatorSet:
         self.m = m
         self._vectors: List[Tuple[float, ...]] = []
         self._rows: Optional[np.ndarray] = None
+        #: the row that last dominated a probe (probed first next time)
+        self._last: Optional[Tuple[float, ...]] = None
 
     def __len__(self) -> int:
         return len(self._vectors)
@@ -170,21 +201,29 @@ class DominatorSet:
         """True iff any stored vector dominates ``vector``.
 
         Equivalent to ``any(dominates_vectors(s, vector) for s in set)``
-        (Definition 3 per row), evaluated as one vectorized pass once
-        the set is large enough to pay for it.
+        (Definition 3 per row).  The last dominating row is tried
+        first; only when it fails does the full scan run, scalar or
+        vectorized, recording the row it finds.
         """
-        count = len(self._vectors)
-        if count == 0:
-            return False
+        last = self._last
+        if last is not None and dominates_vectors(last, vector):
+            return True
         if self._rows is None:
-            return any(
-                dominates_vectors(row, vector) for row in self._vectors
-            )
+            for row in self._vectors:
+                if dominates_vectors(row, vector):
+                    self._last = row
+                    return True
+            return False
+        count = len(self._vectors)
         rows = self._rows[:count]
         vec = np.asarray(vector, dtype=float)
-        le = (rows <= vec).all(axis=1)
-        lt = (rows < vec).any(axis=1)
-        return bool((le & lt).any())
+        hits = (rows <= vec).all(axis=1)
+        hits &= (rows < vec).any(axis=1)
+        first = int(hits.argmax())
+        if not hits[first]:
+            return False
+        self._last = self._vectors[first]
+        return True
 
     def vectors(self) -> List[Tuple[float, ...]]:
         """The stored vectors, in insertion order (for introspection)."""
@@ -224,6 +263,7 @@ class DominanceMatrix:
         self.source = source
         self.ids = list(universe)
         self._row_of = {obj: i for i, obj in enumerate(self.ids)}
+        source.fill(self.ids)
         rows = np.array(
             [source.vector(obj) for obj in self.ids], dtype=float
         ).reshape(len(self.ids), source.m)
@@ -252,6 +292,7 @@ class DominanceMatrix:
             return int(self.score([object_ids])[0])
         ids = list(object_ids)
         scores = np.zeros(len(ids), dtype=np.int64)
+        self.source.fill(ids)
         vectors = np.array(
             [self.source.vector(obj) for obj in ids], dtype=float
         ).reshape(len(ids), self.source.m)

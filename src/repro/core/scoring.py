@@ -89,6 +89,8 @@ def exact_score_reverse_scan(
         len(aux.logs[j]) - rec.lpos[j] + 1  # type: ignore[operator]
         for j in range(m)
     ]
+    # running sum of remaining_per_query[j:], the IPH bound's slots
+    remaining = sum(remaining_per_query)
 
     for j in range(m):
         log = aux.logs[j]
@@ -98,6 +100,7 @@ def exact_score_reverse_scan(
             if distance < target:
                 break
             remaining_per_query[j] -= 1
+            remaining -= 1
             other = aux.get(object_id)
             assert other is not None
             if other.qc_epoch != epoch:
@@ -109,14 +112,13 @@ def exact_score_reverse_scan(
                 zeroed.append(other)
             aux.update(other)
             if use_iph and pruning_value is not None:
-                max_future_removals = removed + sum(
-                    remaining_per_query[jj] for jj in range(j, m)
-                )
+                max_future_removals = removed + remaining
                 best_possible = (
                     n - (aux_size - max_future_removals) - rec.eq - 1
                 )
                 if best_possible <= pruning_value:
                     return outcome  # IPH: score stays None
+        remaining -= remaining_per_query[j]
         remaining_per_query[j] = 0
 
     # Lemma 7: dom(o) = n - |U| - eq(o) - 1, with |U| = |AUX| minus the

@@ -15,7 +15,8 @@ candidates at once.  :func:`pairwise_distances` is the set-at-a-time
 entry point: metrics that implement the optional ``pairwise`` hook
 (the Lp family evaluates it as one numpy broadcast) answer a whole
 candidate batch in a single call; every other metric falls back to a
-per-pair loop with unchanged semantics.  A batch of ``n`` candidates
+per-pair loop with unchanged semantics (:func:`distance_rows` does the
+same for a whole objects x queries block).  A batch of ``n`` candidates
 is **by definition** ``n`` distance computations — the batched and the
 per-pair paths produce bit-identical distances and identical
 :class:`~repro.metric.counting.CountingMetric` counts.
@@ -82,6 +83,31 @@ def pairwise_distances(
     else:
         values = [metric(query, c) for c in candidates]
     return np.asarray(values, dtype=float)
+
+
+def distance_rows(
+    metric: Metric,
+    objects: Sequence[Any],
+    queries: Sequence[Any],
+) -> List[List[float]]:
+    """Distances from every object payload to every query payload.
+
+    The batched equivalent of
+    ``[[metric(o, q) for q in queries] for o in objects]``.  When the
+    raw metric (behind a counting proxy's ``inner``) has the
+    ``pairwise`` hook, each query column is one kernel call over all
+    objects; otherwise the per-pair loop runs in exactly that
+    object-major order, object first, so order-sensitive metrics (per-
+    source row caches) see the same call sequence as one-at-a-time
+    evaluation.  Distances and counts are bit-identical either way.
+    """
+    raw = getattr(metric, "inner", metric)
+    if getattr(raw, "pairwise", None) is None or not objects or not queries:
+        return [[metric(o, q) for q in queries] for o in objects]
+    columns = [
+        pairwise_distances(metric, q, objects, reflect=True) for q in queries
+    ]
+    return np.array(columns).T.tolist()
 
 
 class MetricAxiomError(AssertionError):
@@ -230,6 +256,18 @@ class MetricSpace:
             payloads[a],
             [payloads[i] for i in object_ids],
             reflect=True,
+        )
+
+    def distance_rows(
+        self, object_ids: Sequence[int], other_ids: Sequence[int]
+    ) -> List[List[float]]:
+        """Batched ``[[self.distance(o, q) for q in other_ids] for o in
+        object_ids]``; see :func:`distance_rows`."""
+        payloads = self._payloads
+        return distance_rows(
+            self.metric,
+            [payloads[i] for i in object_ids],
+            [payloads[q] for q in other_ids],
         )
 
     def pairwise_to_payload(

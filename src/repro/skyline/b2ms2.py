@@ -52,15 +52,16 @@ def _dominates_region(
 
     Requires ``<=`` everywhere and ``<`` somewhere against the region's
     *lower* bounds, which guarantees strict dominance of every actual
-    object inside the region.  This is the same predicate as object
-    dominance (Definition 3), so the cursor evaluates it through its
+    object inside the region; a NaN coordinate never satisfies it.
+    This is the same predicate as object dominance (Definition 3), so
+    the cursor evaluates it through its
     :class:`~repro.core.dominance.DominatorSet`; this scalar form is
     kept as the reference definition (exercised by the white-box
     tests).
     """
     strict = False
     for sv, lb in zip(skyline_vector, bounds):
-        if sv > lb:
+        if not sv <= lb:
             return False
         if sv < lb:
             strict = True
@@ -109,21 +110,32 @@ def metric_skyline_cursor(
             node = tree.buffer.get(page_id).payload
         nonlocal ring_pruned
         node_ring_prunes = 0
+        # pass 1: hidden objects and hyper-ring prunes, which need no
+        # distance vector (a pruned router saves m distances and its
+        # subtree; a pruned object is dominated through its bounds).
+        kept: List[tuple] = []
         for entry in node.entries:
-            if isinstance(entry, RoutingEntry):
+            routing = isinstance(entry, RoutingEntry)
+            if not routing and entry.object_id in hidden:
+                continue
+            ring = None
+            if flt is not None:
                 ring = (
                     flt.node_bounds(entry.child_page_id)
-                    if flt is not None
-                    else None
+                    if routing
+                    else flt.object_bounds(entry.object_id)
                 )
                 if ring is not None and skyline.dominates(ring):
-                    # pruned before computing the router's distance
-                    # vector (m distances saved) or visiting the
-                    # subtree.
                     node_ring_prunes += 1
                     continue
-                rvec = source.vector(entry.object_id)
-                bounds = _node_lower_bounds(rvec, entry.covering_radius)
+            kept.append((entry, ring))
+        # pass 2: the survivors' vectors in one batch, pushed in entry
+        # order (the skyline does not change inside this call).
+        source.fill([entry.object_id for entry, _ring in kept])
+        for entry, ring in kept:
+            vec = source.vector(entry.object_id)
+            if isinstance(entry, RoutingEntry):
+                bounds = _node_lower_bounds(vec, entry.covering_radius)
                 if ring is not None:
                     # coordinate-wise max of two valid lower bounds is
                     # a valid (tighter) lower bound: better heap order
@@ -138,24 +150,10 @@ def metric_skyline_cursor(
                      entry.child_page_id, bounds, level + 1),
                 )
             else:
-                if entry.object_id in hidden:
-                    continue
-                ring = (
-                    flt.object_bounds(entry.object_id)
-                    if flt is not None
-                    else None
-                )
-                if ring is not None and skyline.dominates(ring):
-                    # a found skyline vector dominates the object's
-                    # ring bounds, hence the object itself — dropped
-                    # without computing its distance vector.
-                    node_ring_prunes += 1
-                    continue
-                ovec = source.vector(entry.object_id)
                 heapq.heappush(
                     heap,
-                    (sum(ovec), _KIND_OBJECT, next(counter),
-                     entry.object_id, ovec, level),
+                    (sum(vec), _KIND_OBJECT, next(counter),
+                     entry.object_id, vec, level),
                 )
         ring_pruned += node_ring_prunes
         if ex is not None:

@@ -16,7 +16,16 @@ from repro.core.dominance import (
     equivalent_vectors,
 )
 
+from repro.metric.vector import (
+    ChebyshevMetric,
+    EuclideanMetric,
+    ManhattanMetric,
+    WeightedEuclideanMetric,
+)
+
 from tests.conftest import make_vector_space
+
+NAN = float("nan")
 
 _vec = st.lists(
     st.floats(min_value=0, max_value=10, allow_nan=False),
@@ -60,6 +69,12 @@ class TestDominatesVectors:
     @given(a=_vec)
     def test_irreflexive(self, a):
         assert not dominates_vectors(a, a)
+
+    def test_nan_never_dominates(self):
+        assert not dominates_vectors([0, NAN], [1, 5])
+        assert not dominates_vectors([NAN, NAN], [1, 5])
+        assert not dominates_vectors([0, 1], [1, NAN])
+        assert not dominates_vectors([0, 1, NAN], [1, 2, 3])
 
     @settings(max_examples=60, deadline=None)
     @given(a=_vec, b=_vec)
@@ -160,6 +175,100 @@ class TestDominanceMatrix:
             if dominates_vectors(source.vector(45), source.vector(other))
         )
         assert score == manual
+
+
+_FILL_METRICS = {
+    "l1": ManhattanMetric,
+    "l2": EuclideanMetric,
+    "chebyshev": ChebyshevMetric,
+    "weighted-l2": lambda: WeightedEuclideanMetric(
+        np.linspace(0.5, 3.0, 9)
+    ),
+}
+
+
+def _bits(vectors):
+    return [tuple(float(d).hex() for d in vec) for vec in vectors]
+
+
+class TestFill:
+    """``fill`` is a batched run of per-id ``vector()`` calls."""
+
+    QUERIES = [0, 17, 33, 58]
+    # query objects inside the batch, duplicates, out-of-order ids
+    IDS = [5, 17, 5, 0, 64, 33, 2, 58, 2, 71, 17, 40]
+
+    def _pair(self, name):
+        spaces = [
+            make_vector_space(
+                n=80, dims=9, seed=6, metric=_FILL_METRICS[name]()
+            )
+            for _ in range(2)
+        ]
+        return [DistanceVectorSource(s, self.QUERIES) for s in spaces]
+
+    @pytest.mark.parametrize("name", sorted(_FILL_METRICS))
+    def test_fill_equals_per_id_vectors(self, name):
+        batched, single = self._pair(name)
+        batched.fill(self.IDS)
+        for object_id in self.IDS:
+            single.vector(object_id)
+        ids = sorted(set(self.IDS))
+        assert _bits(batched.vector(i) for i in ids) == _bits(
+            single.vector(i) for i in ids
+        )
+        assert all(
+            type(d) is float for i in ids for d in batched.vector(i)
+        )
+        metric_b = batched.space.metric
+        metric_s = single.space.metric
+        # identity pairs (a query object against itself) are not counted
+        expected = len(ids) * len(self.QUERIES) - len(
+            set(self.IDS) & set(self.QUERIES)
+        )
+        assert metric_b.count == metric_s.count == expected
+        # one kernel call per query object
+        assert metric_b.batches == len(self.QUERIES)
+
+    def test_cached_ids_cost_nothing(self):
+        batched, single = self._pair("l1")
+        batched.vector(5)
+        batched.put(2, (1.0, 2.0, 3.0, 4.0))
+        before = batched.space.metric.count
+        batched.fill(self.IDS)
+        for object_id in self.IDS:
+            single.vector(object_id)
+        assert batched.vector(2) == (1.0, 2.0, 3.0, 4.0)
+        # 5 and 2 were known, and neither is a query object
+        assert batched.space.metric.count - before == (
+            single.space.metric.count - 2 * len(self.QUERIES)
+        )
+        before = batched.space.metric.count
+        batched.fill(self.IDS)
+        batched.fill([])
+        assert batched.space.metric.count == before
+
+    def test_thread_safe_local_count(self):
+        batched, single = self._pair("l2")
+        for source in (batched, single):
+            source.space.metric.make_thread_safe()
+        batched.fill(self.IDS)
+        for object_id in self.IDS:
+            single.vector(object_id)
+        metric_b = batched.space.metric
+        metric_s = single.space.metric
+        assert metric_b.local_count() == metric_s.local_count()
+        assert metric_b.count == metric_s.count
+        ids = sorted(set(self.IDS))
+        assert _bits(batched.vector(i) for i in ids) == _bits(
+            single.vector(i) for i in ids
+        )
+
+    def test_no_query_objects(self):
+        space = make_vector_space(n=10, dims=2, seed=1)
+        source = DistanceVectorSource(space, [])
+        source.fill([3, 4])
+        assert source.vector(3) == () and space.metric.count == 0
 
 
 def _source_of(vectors, m):
@@ -301,6 +410,78 @@ class TestDominanceProperties:
                     assert dominators.dominates(probe) == any(
                         dominates_vectors(r, probe) for r in rows[:count]
                     )
+
+
+def _changing_probes(stored, picks, deltas):
+    """Probes dominated by ``stored[pick]``, one row after another."""
+    probes = []
+    for pick, delta in zip(picks, deltas):
+        row = stored[pick % len(stored)]
+        probes.append(tuple(d + e for d, e in zip(row, delta)))
+    return probes
+
+
+_small = st.integers(min_value=0, max_value=3)
+
+
+class TestLastDominatorProbe:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        stored=st.one_of(
+            st.lists(
+                st.tuples(_small, _small, _small),
+                min_size=1,
+                max_size=DominatorSet._VECTORIZE_FROM - 1,
+            ),
+            st.lists(
+                st.tuples(_small, _small, _small),
+                min_size=DominatorSet._VECTORIZE_FROM,
+                max_size=2 * DominatorSet._VECTORIZE_FROM,
+            ),
+        ),
+        picks=st.lists(st.integers(min_value=0, max_value=200), max_size=12),
+        deltas=st.lists(st.tuples(_small, _small, _small), max_size=12),
+        others=st.lists(st.tuples(_small, _small, _small), max_size=12),
+    )
+    def test_equals_any_over_changing_dominators(
+        self, stored, picks, deltas, others
+    ):
+        dominators = DominatorSet(3)
+        for row in stored:
+            dominators.add(row)
+        probes = _changing_probes(stored, picks, deltas)
+        # interleave probes the last dominator may or may not decide
+        sequence = [p for pair in zip(probes, others) for p in pair]
+        sequence += probes[len(others):] + others[len(probes):]
+        for probe in sequence + sequence[::-1]:
+            assert dominators.dominates(probe) == any(
+                dominates_vectors(row, probe) for row in stored
+            )
+
+    @pytest.mark.parametrize(
+        "size", [1, DominatorSet._VECTORIZE_FROM + 3]
+    )
+    def test_nan_row_never_dominates(self, size):
+        dominators = DominatorSet(2)
+        dominators.add((0.0, NAN))
+        for _ in range(size - 1):
+            dominators.add((9.0, 9.0))
+        assert not dominators.dominates((1.0, 5.0))
+        assert not dominators.dominates((NAN, 5.0))
+
+    @pytest.mark.parametrize(
+        "size", [2, DominatorSet._VECTORIZE_FROM + 3]
+    )
+    def test_nan_probe_after_last_dominator(self, size):
+        dominators = DominatorSet(2)
+        for _ in range(size - 1):
+            dominators.add((9.0, 9.0))
+        dominators.add((1.0, 1.0))
+        assert dominators.dominates((2.0, 2.0))  # (1, 1) becomes last
+        assert not dominators.dominates((2.0, NAN))
+        assert not dominators.dominates((NAN, NAN))
+        assert dominators.dominates((1.0, 2.0))
+        assert not dominators.dominates((1.0, 1.0))
 
 
 class TestFreeFunctions:

@@ -91,6 +91,34 @@ class _SimulatedRun:
         self.aux.update(rec)
 
 
+def _reference_iph_scan(aux, rec, n, epoch, pruning_value):
+    """ExactScore-RS with the IPH bound re-summed at every entry.
+
+    Returns ``(aborted, entries scanned)``.
+    """
+    m = aux.m
+    remaining = [len(aux.logs[j]) - rec.lpos[j] + 1 for j in range(m)]
+    removed = scanned = 0
+    for j in range(m):
+        for _rank, object_id, distance in aux.logs[j].scan_backward():
+            if distance < rec.dists[j]:
+                break
+            remaining[j] -= 1
+            scanned += 1
+            other = aux.get(object_id)
+            if other.qc_epoch != epoch:
+                other.qc_epoch = epoch
+                other.qc_counter = other.q_counter
+            other.qc_counter -= 1
+            removed += other.qc_counter == 0
+            aux.update(other)
+            bound = removed + sum(remaining[jj] for jj in range(j, m))
+            if n - (len(aux) - bound) - rec.eq - 1 <= pruning_value:
+                return True, scanned
+        remaining[j] = 0
+    return False, scanned
+
+
 @pytest.fixture(params=[(30, None, 0), (40, 3, 1), (25, 2, 2), (35, None, 3)])
 def run(request):
     n, grid, seed = request.param
@@ -136,6 +164,31 @@ class TestReverseScanScore:
             use_iph=True,
         )
         assert outcome.score is None
+
+    def test_iph_aborts_at_the_reference_step(self, run, monkeypatch):
+        sim, space, _queries = run
+        n = len(space)
+        updates = []
+        update = sim.aux.update
+        monkeypatch.setattr(
+            sim.aux, "update", lambda rec: (updates.append(1), update(rec))
+        )
+        epoch = itertools.count()
+        while True:
+            rec = sim.advance_until_common()
+            if rec is None:
+                break
+            for pruning_value in range(-1, n + 1, 3):
+                updates.clear()
+                outcome = exact_score_reverse_scan(
+                    sim.aux, rec, n, epoch=next(epoch),
+                    pruning_value=pruning_value,
+                )
+                live = (outcome.score is None, len(updates))
+                expected = _reference_iph_scan(
+                    sim.aux, rec, n, next(epoch), pruning_value
+                )
+                assert live == expected, (rec.object_id, pruning_value)
 
     def test_iph_disabled_ignores_pruning_value(self, run):
         sim, space, queries = run

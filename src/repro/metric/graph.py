@@ -13,26 +13,45 @@ ids.  Because one metric evaluation runs (bounded) Dijkstra, this
 metric is *expensive* — exactly the regime where the paper argues that
 the number of distance computations dominates total cost (Table 2, CAL
 rows).
+
+Both run one Dijkstra loop, :meth:`_Row.settle`, over a flat adjacency
+snapshot (per-node ``(neighbor, weight)`` tuples in insertion order,
+rebuilt after each mutation of the graph).  A :class:`_Row` is a
+resumable single-source search: it settles nodes only until the one a
+caller asks for is settled, and a later lookup resumes where the last
+one stopped.  A node's settled distance does not depend on where a run
+stops, so every value is bit-identical to a full run from the same
+source.
 """
 
 from __future__ import annotations
 
 import heapq
+import threading
 from collections import OrderedDict
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
+
+_INF = float("inf")
+
+#: per node, its ``(neighbor, weight)`` pairs in insertion order
+Adjacency = Tuple[Tuple[Tuple[int, float], ...], ...]
 
 
 class Graph:
     """An undirected graph with non-negative edge weights.
 
     Nodes are integers.  Parallel edges keep the smaller weight; self
-    loops are ignored (they never shorten a path).
+    loops are ignored (they never shorten a path).  ``version`` counts
+    the mutations that changed the graph; shortest-path rows computed
+    at an older version are stale.
     """
 
     def __init__(self, num_nodes: int = 0) -> None:
         if num_nodes < 0:
             raise ValueError("num_nodes must be >= 0")
         self._adj: List[Dict[int, float]] = [{} for _ in range(num_nodes)]
+        self.version = 0
+        self._snapshot: Optional[Adjacency] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -40,6 +59,7 @@ class Graph:
     def add_node(self) -> int:
         """Append a node and return its id."""
         self._adj.append({})
+        self._mutated()
         return len(self._adj) - 1
 
     def add_edge(self, u: int, v: int, weight: float = 1.0) -> None:
@@ -54,6 +74,11 @@ class Graph:
         if current is None or weight < current:
             self._adj[u][v] = weight
             self._adj[v][u] = weight
+            self._mutated()
+
+    def _mutated(self) -> None:
+        self.version += 1
+        self._snapshot = None
 
     # ------------------------------------------------------------------
     # queries
@@ -87,9 +112,71 @@ class Graph:
                 if u < v:
                     yield (u, v, w)
 
+    def _adjacency(self) -> Adjacency:
+        """The adjacency snapshot of the current version."""
+        if self._snapshot is None:
+            self._snapshot = tuple(tuple(nbrs.items()) for nbrs in self._adj)
+        return self._snapshot
+
     def _check(self, u: int) -> None:
         if not (0 <= u < len(self._adj)):
             raise IndexError(f"node {u} out of range")
+
+
+class _Row:
+    """A resumable single-source Dijkstra search.
+
+    ``settled[v]`` is ``v``'s distance from the source once ``v`` is
+    settled and ``None`` before; ``dist`` holds the tentative distances
+    and ``heap`` the ``(distance, node)`` frontier.
+    """
+
+    __slots__ = ("settled", "dist", "heap")
+
+    def __init__(self, adj: Adjacency, source: int) -> None:
+        if not (0 <= source < len(adj)):
+            raise IndexError(f"node {source} out of range")
+        dist = [_INF] * len(adj)
+        dist[source] = 0.0
+        self.settled: List[Optional[float]] = [None] * len(adj)
+        self.dist: Optional[List[float]] = dist
+        self.heap = [(0.0, source)]
+
+    def settle(self, adj: Adjacency, stop: Optional[int], limit: float = _INF) -> int:
+        """Settle nodes in distance order until ``stop`` is settled, the
+        next node lies beyond ``limit`` or the heap runs empty; return
+        how many nodes were settled.
+
+        Pushes happen only on a strict improvement and nodes pop in
+        non-decreasing distance order, so an entry above its node's
+        tentative distance is stale, and relaxing an edge into a settled
+        node never improves it: neither needs a settled test.
+        """
+        settled = self.settled
+        dist = self.dist
+        heap = self.heap
+        pop = heapq.heappop
+        push = heapq.heappush
+        count = 0
+        while heap:
+            d, u = pop(heap)
+            if d > dist[u]:
+                continue
+            if d > limit:
+                push(heap, (d, u))
+                break
+            settled[u] = d
+            count += 1
+            for v, w in adj[u]:
+                nd = d + w
+                if nd < dist[v]:
+                    dist[v] = nd
+                    push(heap, (nd, v))
+            if u == stop:
+                break
+        if not heap:
+            self.dist = None  # complete: only the settled list is needed
+        return count
 
 
 def dijkstra(
@@ -102,43 +189,40 @@ def dijkstra(
 
     With ``target`` set, the search stops as soon as the target is
     settled (returning a partial distance map that is exact for every
-    settled node).  ``cutoff`` bounds the explored radius.
+    settled node).  ``cutoff`` bounds the explored radius: only nodes
+    within it are settled (the source always is).
     """
-    dist: Dict[int, float] = {source: 0.0}
-    settled: Dict[int, float] = {}
-    heap: List[Tuple[float, int]] = [(0.0, source)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if u in settled:
-            continue
-        settled[u] = d
-        if target is not None and u == target:
-            break
-        for v, w in graph.neighbors(u):
-            if v in settled:
-                continue
-            nd = d + w
-            if cutoff is not None and nd > cutoff:
-                continue
-            if nd < dist.get(v, float("inf")):
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return settled
+    adj = graph._adjacency()
+    row = _Row(adj, source)
+    if cutoff is not None and cutoff < 0:
+        return {source: 0.0}
+    row.settle(adj, target, _INF if cutoff is None else cutoff)
+    return {u: d for u, d in enumerate(row.settled) if d is not None}
 
 
 class ShortestPathMetric:
     """Shortest-path distance between graph nodes as a metric.
 
-    Payloads are node ids.  A bounded LRU cache of full single-source
-    distance maps makes repeated evaluations from the same source cheap
+    Payloads are node ids (``IndexError`` for an id outside the
+    graph).  A call ``d(a, b)`` is answered from a
+    resumable Dijkstra row: ``a``'s row if it is cached (it becomes the
+    most recently used), else ``b``'s row if that is cached, else a new
+    row from ``a``, which evicts the least recently used one when more
+    than ``cache_sources`` rows are cached.  A row settles nodes only
+    as far as its lookups need, so repeated evaluations from one source
     — the common pattern in our algorithms, where each of the ``m``
-    query objects issues a long stream of distance evaluations.  Set
-    ``cache_sources=0`` to disable caching (every call runs a fresh
-    early-terminating Dijkstra), which the benchmarks use to model a
-    truly expensive metric.
+    query objects issues a long stream of distance evaluations — share
+    one search.  Set ``cache_sources=0`` to disable caching (every call
+    runs a fresh early-terminating Dijkstra), which the benchmarks use
+    to model a truly expensive metric.  A mutation of the graph drops
+    every row.
 
     Unreachable node pairs get ``disconnected_distance`` (default: a
     large finite sentinel so dominance comparisons stay well-defined).
+
+    Counters: ``dijkstra_runs`` counts rows started (cache misses);
+    ``nodes_settled`` counts the nodes those rows settled, the work
+    done.
     """
 
     def __init__(
@@ -151,35 +235,71 @@ class ShortestPathMetric:
         self.cache_sources = cache_sources
         self.disconnected_distance = disconnected_distance
         self.name = "shortest-path"
-        self._cache: "OrderedDict[int, Dict[int, float]]" = OrderedDict()
-        #: number of full Dijkstra runs performed (cache misses).
+        self._cache: "OrderedDict[int, _Row]" = OrderedDict()
+        self._version = graph.version
+        # concurrent queries share the metric: starting and extending
+        # rows must not interleave
+        self._lock = threading.Lock()
+        #: number of Dijkstra rows started (cache misses).
         self.dijkstra_runs = 0
+        #: number of nodes settled by all rows.
+        self.nodes_settled = 0
 
     def __call__(self, a: int, b: int) -> float:
         if a == b:
             return 0.0
-        if self.cache_sources <= 0:
-            self.dijkstra_runs += 1
-            settled = dijkstra(self.graph, a, target=b)
-            return settled.get(b, self.disconnected_distance)
-        row = self._cache.get(a)
+        if self._version != self.graph.version:
+            self.clear_cache()
+        cache = self._cache
+        row = cache.get(a)
         if row is None:
-            row = self._cache.get(b)
-            if row is not None:
+            row = cache.get(b)
+            if row is None:
+                row = self._new_row(a)
+            else:
                 # symmetric: reuse the cached row of the other endpoint.
-                return row.get(a, self.disconnected_distance)
-            self.dijkstra_runs += 1
-            row = dijkstra(self.graph, a)
-            self._cache[a] = row
-            if len(self._cache) > self.cache_sources:
-                self._cache.popitem(last=False)
+                a, b = b, a
         else:
-            self._cache.move_to_end(a)
-        return row.get(b, self.disconnected_distance)
+            cache.move_to_end(a)
+        if b < 0:
+            raise IndexError(f"node {b} out of range")
+        value = row.settled[b]
+        if value is None:
+            return self._extend(row, b)
+        return value
+
+    def _new_row(self, source: int) -> _Row:
+        with self._lock:
+            row = self._cache.get(source)  # another thread may have won
+            if row is None:
+                row = _Row(self.graph._adjacency(), source)
+                self.dijkstra_runs += 1
+                if self.cache_sources > 0:
+                    self._cache[source] = row
+                    if len(self._cache) > self.cache_sources:
+                        self._cache.popitem(last=False)
+        return row
+
+    def _extend(self, row: _Row, target: int) -> float:
+        with self._lock:
+            if row.settled[target] is None:
+                self.nodes_settled += row.settle(self.graph._adjacency(), target)
+        value = row.settled[target]
+        return self.disconnected_distance if value is None else value
 
     def clear_cache(self) -> None:
         """Drop all cached distance rows."""
         self._cache.clear()
+        self._version = self.graph.version
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_lock"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._lock = threading.Lock()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

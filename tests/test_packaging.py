@@ -1,6 +1,10 @@
 """Packaging-level sanity: public surface imports and metadata."""
 
 import importlib
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -88,6 +92,33 @@ class TestPublicSurface:
                 assert getattr(module, name, None) is not None, (
                     module_name, name,
                 )
+
+
+class TestImportFootprint:
+    """numpy is the only runtime dependency.  A heavier import (scipy's
+    alone adds ~33 MB of RSS) would show in every benchmark's peak
+    memory, so importing the library must not pull one in."""
+
+    PROBE = """
+import sys
+before = {m.partition(".")[0] for m in sys.modules}
+import repro, repro.metric.graph
+new = {m.partition(".")[0] for m in sys.modules} - before
+stdlib = getattr(sys, "stdlib_module_names", None)
+print(",".join(sorted(n for n in new if stdlib is None or n not in stdlib)))
+"""
+
+    def test_import_pulls_in_numpy_only(self):
+        src = pathlib.Path(__file__).parent.parent / "src"
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        out = subprocess.run(
+            [sys.executable, "-c", self.PROBE],
+            capture_output=True, text=True, env=env, check=True,
+        ).stdout.strip().split(",")
+        assert "scipy" not in out
+        if hasattr(sys, "stdlib_module_names"):
+            assert sorted(out) == ["numpy", "repro"]
 
 
 class TestDocumentationPresence:

@@ -73,7 +73,8 @@ class DistanceVectorSource:
     def vector(self, object_id: int) -> Tuple[float, ...]:
         """The (cached) distance vector of one object.
 
-        A cache miss evaluates the ``m`` coordinates per pair: one
+        A cache miss evaluates the ``m`` coordinates ``d(q, object)``
+        per pair, query first as in :meth:`fill`: one
         object's batch is only ``m`` wide (2-8 in every paper
         workload), too narrow to amortise the batched kernel's dispatch
         cost.  Callers that need many vectors at once call
@@ -82,7 +83,7 @@ class DistanceVectorSource:
         vec = self._cache.get(object_id)
         if vec is None:
             vec = tuple(
-                self.space.distance(object_id, q) for q in self.query_ids
+                self.space.distance(q, object_id) for q in self.query_ids
             )
             self._cache[object_id] = vec
         return vec
@@ -91,12 +92,12 @@ class DistanceVectorSource:
         """Compute every missing vector among ``object_ids`` in one batch.
 
         Through :meth:`MetricSpace.distance_rows`: one ``pairwise``
-        kernel call per query object when the raw metric has the batch
-        hook, else the per-pair loop in object-major id order with the
-        object first — the exact call sequence of :meth:`vector` on
-        each missing id in turn.  Cached and repeated ids cost nothing,
-        so distances, counts and the cache match per-id :meth:`vector`
-        calls bit for bit.
+        batch per query object over the missing ids in first-appearance
+        order, each call ``d(q, object)`` as in :meth:`vector`, so a
+        shortest-path metric answers from the ``m`` query rows instead
+        of starting a row per object.  Cached and repeated ids cost
+        nothing, so distances, counts and the cache match per-id
+        :meth:`vector` calls bit for bit.
         """
         cache = self._cache
         missing = list(

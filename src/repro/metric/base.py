@@ -15,8 +15,8 @@ candidates at once.  :func:`pairwise_distances` is the set-at-a-time
 entry point: metrics that implement the optional ``pairwise`` hook
 (the Lp family evaluates it as one numpy broadcast) answer a whole
 candidate batch in a single call; every other metric falls back to a
-per-pair loop with unchanged semantics (:func:`distance_rows` does the
-same for a whole objects x queries block).  A batch of ``n`` candidates
+per-pair loop with unchanged semantics (:func:`distance_rows` makes
+one such batch per query object).  A batch of ``n`` candidates
 is **by definition** ``n`` distance computations — the batched and the
 per-pair paths produce bit-identical distances and identical
 :class:`~repro.metric.counting.CountingMetric` counts.
@@ -48,10 +48,12 @@ class Metric(Protocol):
     the per-pair ``__call__`` in either argument order (true for the
     Lp family, where the only order-sensitive step is ``|a - b|``);
     loop-based implementations honor ``reflect`` by calling
-    ``metric(c, query)`` instead of ``metric(query, c)`` so that
-    metrics with order-dependent evaluation (e.g. per-source caches)
-    reproduce the exact legacy call sequence.  Metrics without the
-    hook are batched by :func:`pairwise_distances`'s fallback loop.
+    ``metric(c, query)`` instead of ``metric(query, c)``.  An
+    order-sensitive metric (a per-source row cache) may differ in the
+    last bits between ``d(a, b)`` and ``d(b, a)``, so each call site
+    keeps one orientation; distance vectors are ``d(q, o)``, query
+    first.  Metrics without the hook are batched by
+    :func:`pairwise_distances`'s fallback loop.
     """
 
     name: str
@@ -90,23 +92,18 @@ def distance_rows(
     objects: Sequence[Any],
     queries: Sequence[Any],
 ) -> List[List[float]]:
-    """Distances from every object payload to every query payload.
+    """Distance vectors of ``objects`` over ``queries``, query first.
 
     The batched equivalent of
-    ``[[metric(o, q) for q in queries] for o in objects]``.  When the
-    raw metric (behind a counting proxy's ``inner``) has the
-    ``pairwise`` hook, each query column is one kernel call over all
-    objects; otherwise the per-pair loop runs in exactly that
-    object-major order, object first, so order-sensitive metrics (per-
-    source row caches) see the same call sequence as one-at-a-time
-    evaluation.  Distances and counts are bit-identical either way.
+    ``[[metric(q, o) for q in queries] for o in objects]``: one
+    :func:`pairwise_distances` column per query object, so a hook-less
+    metric sees the calls query-major, query first, and a per-source
+    row cache answers them all from the ``m`` query rows.  Distances
+    and counts are bit-identical to the per-pair loop.
     """
-    raw = getattr(metric, "inner", metric)
-    if getattr(raw, "pairwise", None) is None or not objects or not queries:
-        return [[metric(o, q) for q in queries] for o in objects]
-    columns = [
-        pairwise_distances(metric, q, objects, reflect=True) for q in queries
-    ]
+    if not objects or not queries:
+        return [[] for _ in objects]
+    columns = [pairwise_distances(metric, q, objects) for q in queries]
     return np.array(columns).T.tolist()
 
 
@@ -261,8 +258,8 @@ class MetricSpace:
     def distance_rows(
         self, object_ids: Sequence[int], other_ids: Sequence[int]
     ) -> List[List[float]]:
-        """Batched ``[[self.distance(o, q) for q in other_ids] for o in
-        object_ids]``; see :func:`distance_rows`."""
+        """Batched ``[[self.distance(q, o) for q in other_ids] for o in
+        object_ids]``, query first; see :func:`distance_rows`."""
         payloads = self._payloads
         return distance_rows(
             self.metric,

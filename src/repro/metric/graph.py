@@ -21,7 +21,8 @@ resumable single-source search: it settles nodes only until the one a
 caller asks for is settled, and a later lookup resumes where the last
 one stopped.  A node's settled distance does not depend on where a run
 stops, so every value is bit-identical to a full run from the same
-source.
+source.  A value can differ in its last bits between the two endpoints'
+rows, so callers keep one orientation: distance vectors query first.
 """
 
 from __future__ import annotations
